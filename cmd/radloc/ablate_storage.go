@@ -35,10 +35,20 @@ type walSink struct {
 
 // Append implements fusion.Journal.
 func (s *walSink) Append(m fusion.Meas) error {
+	_, err := s.AppendBatch([]fusion.Meas{m})
+	return err
+}
+
+// AppendBatch implements fusion.BatchJournal: a released round group
+// goes to the WAL in one append.
+func (s *walSink) AppendBatch(ms []fusion.Meas) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.log.Append(wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
-	return err
+	recs := make([]wal.Record, len(ms))
+	for i, m := range ms {
+		recs[i] = wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq}
+	}
+	return s.log.AppendBatch(recs)
 }
 
 // windowFaultRT opens and closes a disk-fault window on the server's

@@ -30,6 +30,9 @@ type Config struct {
 	Sensors []sensor.Sensor
 	// EstimateEvery recomputes estimates after this many ingested
 	// measurements (default: one sensor round, i.e. len(Sensors)).
+	// Crossing it marks a refresh due; the refresh runs before the
+	// next apply, before any reader returns, or at Settle, whichever
+	// comes first (see Settle).
 	EstimateEvery int
 	// Tracking, when non-nil, maintains persistent tracks over the
 	// periodic estimates.
@@ -41,7 +44,8 @@ type Config struct {
 	// Journal, when non-nil, receives every reading the ingest layer
 	// accepts BEFORE it is applied to the filter (write-ahead). A
 	// journal append error aborts the ingest: nothing unjournaled is
-	// ever folded into the posterior.
+	// ever folded into the posterior. A journal that is also a
+	// BatchJournal takes each released round group in one call.
 	Journal Journal
 	// ReorderWindow is the reorder buffer's watermark lag in sequence
 	// rounds: a round of sequenced readings is held and released in
@@ -74,6 +78,7 @@ type Engine struct {
 	sensors   map[int]sensor.Sensor
 	every     int
 	sinceEst  int
+	due       bool // sinceEst crossed every; the refresh has not run yet
 	ests      []core.Estimate
 	tracker   *track.Manager
 	trackStep int
@@ -93,6 +98,12 @@ type Engine struct {
 	journaled uint64 // records appended to the journal (the WAL offset)
 	window    int    // reorder watermark lag, in sequence rounds
 	gate      *gate
+
+	// Reused buffers: one reading journaled alone, and the round
+	// numbers and readings of one release group.
+	one    [1]Meas
+	rounds []uint64
+	group  []Meas
 }
 
 // ErrUnknownSensor is returned for measurements from unregistered
@@ -202,20 +213,45 @@ func (e *JournalError) Unwrap() error { return e.Err }
 // journal, if one is configured. Callers hold e.mu. An error means the
 // reading MUST NOT be applied: durability before visibility.
 func (e *Engine) journalLocked(m Meas) error {
-	if e.journal == nil {
-		return nil
-	}
-	if err := e.journal.Append(m); err != nil {
-		return &JournalError{Err: err}
-	}
-	e.journaled++
-	e.met.journaled.Set(float64(e.journaled))
-	return nil
+	e.one[0] = m
+	_, err := e.journalGroupLocked(e.one[:])
+	return err
 }
 
-// applyLocked folds one journaled measurement into the filter. Callers
-// hold e.mu.
+// journalGroupLocked appends ms to the write-ahead journal in order —
+// in one call when the journal is a BatchJournal, else one Append per
+// reading — and returns how many are journaled. Only those n may be
+// applied; on error the rest MUST NOT be. Callers hold e.mu.
+func (e *Engine) journalGroupLocked(ms []Meas) (int, error) {
+	if e.journal == nil || len(ms) == 0 {
+		return len(ms), nil
+	}
+	var n int
+	var err error
+	if bj, ok := e.journal.(BatchJournal); ok {
+		n, err = bj.AppendBatch(ms)
+	} else {
+		for n < len(ms) {
+			if err = e.journal.Append(ms[n]); err != nil {
+				break
+			}
+			n++
+		}
+	}
+	e.journaled += uint64(n)
+	e.met.journaled.Set(float64(e.journaled))
+	if err != nil {
+		return n, &JournalError{Err: err}
+	}
+	return n, nil
+}
+
+// applyLocked folds one journaled measurement into the filter, after
+// running any due refresh so health admission scores it against fresh
+// estimates. Crossing EstimateEvery only marks the next refresh due.
+// Callers hold e.mu.
 func (e *Engine) applyLocked(m Meas) (uint64, error) {
+	e.settleLocked()
 	if m.CPM < 0 || m.CPM > MaxCPM {
 		e.met.rejected.Inc()
 		return 0, fmt.Errorf("%w: CPM %d outside [0, %d]", ErrBadMeasurement, m.CPM, MaxCPM)
@@ -234,15 +270,39 @@ func (e *Engine) applyLocked(m Meas) (uint64, error) {
 	e.met.ingested.Inc()
 	e.sinceEst++
 	if e.sinceEst >= e.every {
-		e.refreshLocked()
+		e.due = true
 	}
 	return e.met.ingested.Value(), nil
+}
+
+// settleLocked runs the refresh the last apply marked due, if any.
+// Callers hold e.mu.
+func (e *Engine) settleLocked() {
+	if e.due {
+		e.refreshLocked()
+	}
+}
+
+// Settle runs a due estimate refresh now. A refresh falls due when an
+// apply crosses EstimateEvery; the engine defers it so the write that
+// caused it can be acknowledged first. The refresh still runs between
+// the same two readings and draws from the same RNG stream as an eager
+// one would: the next apply settles it first, and so does every
+// reader (Snapshot, ExportState, QuarantinedSensors, Refresh). The
+// zone loop calls Settle right after it posts a batch's ack, so the
+// only visible effect of the deferral is that the /metrics refresh
+// families can trail by one refresh between the ack and the settle.
+func (e *Engine) Settle() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.settleLocked()
 }
 
 // refreshLocked recomputes estimates (and tracks). Callers hold e.mu.
 func (e *Engine) refreshLocked() {
 	t0 := time.Now()
 	e.sinceEst = 0
+	e.due = false
 	e.ests = e.loc.Estimates()
 	e.predSources = diagnose.Sources(e.ests)
 	e.met.refreshes.Inc()
@@ -261,10 +321,12 @@ func (e *Engine) refreshLocked() {
 	e.met.quarantined.Set(float64(quarantined))
 }
 
-// Refresh forces an estimate recomputation now.
+// Refresh forces an estimate recomputation now, after settling any
+// refresh already due — a forced refresh adds one, never replaces one.
 func (e *Engine) Refresh() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.settleLocked()
 	e.refreshLocked()
 }
 
@@ -289,6 +351,7 @@ type Snapshot struct {
 func (e *Engine) Snapshot() Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.settleLocked()
 	out := Snapshot{
 		Ingested:  e.met.ingested.Value(),
 		Rejected:  e.met.rejected.Value(),

@@ -185,6 +185,7 @@ func (e *Engine) healthSnapshotLocked() []SensorHealth {
 func (e *Engine) QuarantinedSensors() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.settleLocked()
 	var out []int
 	for id, h := range e.health {
 		if h.status == Quarantined {

@@ -1,10 +1,11 @@
 package fusion
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Meas is one sequence-stamped measurement as it crosses the ingest
@@ -20,12 +21,29 @@ type Meas struct {
 }
 
 // Journal receives accepted readings before they are applied to the
-// filter — the write-ahead hook. Append is always called with the
-// engine lock held, so appends are totally ordered exactly as the
-// filter applies them; an error vetoes the application.
+// filter — the write-ahead hook. It is always called with the engine
+// lock held, so appends are totally ordered exactly as the filter
+// applies them; an error vetoes the application.
+//
+// A journal that also implements BatchJournal receives every reading
+// through AppendBatch: a released round group (every reading one
+// watermark advance releases, in canonical order) in one call, and a
+// reading applied on its own as a group of one. Otherwise the engine
+// calls Append once per reading and stops at the first error.
 type Journal interface {
 	// Append durably records one accepted reading before it is applied.
 	Append(Meas) error
+}
+
+// BatchJournal is a Journal that records a whole group in one call —
+// for a WAL, one write and one fsync per group instead of per reading
+// (group commit).
+type BatchJournal interface {
+	Journal
+	// AppendBatch durably records ms in order and returns how many
+	// are durable. On error exactly the first n are; the engine
+	// applies those and holds the rest.
+	AppendBatch(ms []Meas) (n int, err error)
 }
 
 // ErrDuplicate is returned for readings whose sequence number has
@@ -230,50 +248,51 @@ func (e *Engine) drainLocked(final bool) (int, error) {
 }
 
 // flushRoundsLocked releases all held rounds ≤ target in (round,
-// sensor-ID) order and advances the release watermark to target.
-// Callers hold e.mu.
+// sensor-ID) order and advances the release watermark to target. The
+// whole release group is journaled first, in one call, then applied.
+// On a short journal write exactly the journaled prefix is applied;
+// the rest stays held and the watermark advances only past fully
+// journaled rounds, so nothing is lost. Callers hold e.mu.
 func (e *Engine) flushRoundsLocked(target uint64) (int, error) {
 	g := e.gate
-	rounds := make([]uint64, 0, len(g.held))
+	rounds := e.rounds[:0]
 	for s := range g.held {
 		if s <= target {
 			rounds = append(rounds, s)
 		}
 	}
-	sort.Slice(rounds, func(a, b int) bool { return rounds[a] < rounds[b] })
-	applied := 0
-	defer func() {
-		e.met.pending.Set(float64(g.heldN))
-		if applied > 0 {
-			e.met.releaseBatch.Observe(float64(applied))
-		}
-	}()
+	slices.Sort(rounds)
+	group := e.group[:0]
 	for _, s := range rounds {
-		round := g.held[s]
-		ids := make([]int, 0, len(round))
-		for id := range round {
-			ids = append(ids, id)
+		start := len(group)
+		for _, m := range g.held[s] {
+			group = append(group, m)
 		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			m := round[id]
-			if err := e.journalLocked(m); err != nil {
-				// Leave the unjournaled remainder held; released stays
-				// behind so nothing is lost.
-				return applied, err
-			}
-			delete(round, id)
-			g.heldN--
-			_, _ = e.applyReleasedLocked(m)
-			applied++
+		slices.SortFunc(group[start:], func(a, b Meas) int { return cmp.Compare(a.SensorID, b.SensorID) })
+	}
+	e.rounds, e.group = rounds, group
+	n, err := e.journalGroupLocked(group)
+	for _, m := range group[:n] {
+		round := g.held[m.Seq]
+		delete(round, m.SensorID)
+		g.heldN--
+		_, _ = e.applyReleasedLocked(m)
+		if len(round) == 0 {
+			delete(g.held, m.Seq)
+			g.released = m.Seq
 		}
-		delete(g.held, s)
-		g.released = s
+	}
+	e.met.pending.Set(float64(g.heldN))
+	if n > 0 {
+		e.met.releaseBatch.Observe(float64(n))
+	}
+	if err != nil {
+		return n, err
 	}
 	if target > g.released {
 		g.released = target
 	}
-	return applied, nil
+	return n, nil
 }
 
 // applyReleasedLocked applies one gate-released (already journaled)

@@ -65,6 +65,7 @@ type SeqCursor struct {
 func (e *Engine) ExportState() (EngineState, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.settleLocked()
 	loc, err := e.loc.ExportState()
 	if err != nil {
 		return EngineState{}, err
@@ -143,6 +144,7 @@ func (e *Engine) ImportState(st EngineState) error {
 	e.met.rejected.Store(st.Rejected)
 	e.met.refreshes.Store(st.Refreshes)
 	e.sinceEst = st.SinceEst
+	e.due = false // the imported state is settled (ExportState settles)
 	e.trackStep = st.TrackStep
 	e.journaled = st.Journaled
 	e.met.journaled.Set(float64(e.journaled))

@@ -37,9 +37,12 @@ func (zs *zoneSet) clusterBackend(name string) (cluster.Backend, error) {
 
 // Offset implements cluster.Backend: the WAL head when durability is
 // on, the engine's journal counter otherwise (they advance in
-// lockstep; without a log the counter is all there is).
+// lockstep; without a log the counter is all there is). It waits out
+// a replicated batch in flight, so the head it reports is applied.
 func (b *zoneBackend) Offset() uint64 {
 	if d := zoneDurable(b.z); d != nil {
+		d.replMu.Lock()
+		defer d.replMu.Unlock()
 		d.j.mu.Lock()
 		defer d.j.mu.Unlock()
 		return d.j.log.Offset()

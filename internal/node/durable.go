@@ -15,26 +15,43 @@ import (
 )
 
 // walJournal bridges the fusion engine's write-ahead hook to the WAL.
-// Append runs with the engine lock held, so WAL order is exactly the
+// It runs with the engine lock held, so WAL order is exactly the
 // filter's application order; mu additionally serializes the log
 // against the checkpointer's Sync/Prune and the scrubber's cold reads.
 // Lock order is always engine.mu → walJournal.mu, never the reverse.
+//
+// It is a fusion.BatchJournal: a released round group reaches the WAL
+// as one wal.Log.AppendBatch — one write and, under -fsync always, one
+// fsync.
 type walJournal struct {
-	mu  sync.Mutex
-	log *wal.Log
+	mu   sync.Mutex
+	log  *wal.Log
+	recs []wal.Record // reused conversion buffer, guarded by mu
 	// onResult, when set, observes every append outcome (outside mu) —
 	// the degraded-mode tracker's entry and exit signal.
 	onResult func(error)
 }
 
+// Append implements fusion.Journal as a group of one.
 func (j *walJournal) Append(m fusion.Meas) error {
+	_, err := j.AppendBatch([]fusion.Meas{m})
+	return err
+}
+
+// AppendBatch implements fusion.BatchJournal.
+func (j *walJournal) AppendBatch(ms []fusion.Meas) (int, error) {
 	j.mu.Lock()
-	_, err := j.log.Append(wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
+	recs := j.recs[:0]
+	for _, m := range ms {
+		recs = append(recs, wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
+	}
+	j.recs = recs
+	n, err := j.log.AppendBatch(recs)
 	j.mu.Unlock()
 	if j.onResult != nil {
 		j.onResult(err)
 	}
-	return err
+	return n, err
 }
 
 // recoveryJSON reports what boot-time recovery found and did — logged
@@ -70,6 +87,13 @@ type durable struct {
 	// met holds the checkpoint counters and timing — the registry
 	// collectors are the source of truth; statez reads them.
 	met *durableMetrics
+
+	// replMu makes a replicated batch's journal-then-replay one step
+	// for readers of the replication head (zoneBackend.Offset): a
+	// standby that reports head X has applied every record below X,
+	// though the group journals the whole batch before replaying it.
+	// Lock order: replMu → engine.mu → j.mu.
+	replMu sync.Mutex
 
 	mu          sync.Mutex
 	busy        bool   // a checkpoint is in flight; skip, don't queue
@@ -181,9 +205,9 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 
 // maybeCheckpoint writes a checkpoint if the WAL has grown past the
 // cadence since the last one. Called outside the engine lock, after
-// ingests; a failure is reported but does not stop ingest (the WAL
-// still has everything).
-func (d *durable) maybeCheckpoint(logw io.Writer) {
+// ingests; a failure is reported on the zone's log writer but does
+// not stop ingest (the WAL still has everything).
+func (d *durable) maybeCheckpoint() {
 	if d == nil || d.every <= 0 {
 		return
 	}
@@ -202,7 +226,7 @@ func (d *durable) maybeCheckpoint(logw io.Writer) {
 	d.busy = false
 	d.mu.Unlock()
 	if err != nil {
-		fmt.Fprintf(logw, "radlocd: checkpoint failed (WAL intact, will retry): %v\n", err)
+		fmt.Fprintf(d.logw, "radlocd: checkpoint failed (WAL intact, will retry): %v\n", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"radloc/internal/cluster"
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
+	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
 
@@ -22,8 +23,9 @@ import (
 // zone admission (mailbox backpressure, zone limit), then — on the
 // zone's single-writer event loop — the sequence gate's dedup/reorder,
 // the journal-before-apply WAL append (a degraded disk vetoes the
-// apply with fusion.JournalError), the engine apply, and finally the
-// ack carried back on the envelope's reply channel.
+// apply with fusion.JournalError), the engine apply, and the ack
+// carried back on the envelope's reply channel. The round's due
+// estimate refresh and the checkpoint cadence run after the ack.
 //
 // Replicated records (Apply) enter below the fence and the gate: they
 // were fenced by the cluster layer's epoch check and sequenced by the
@@ -63,36 +65,54 @@ func (p *WritePipeline) Submit(ctx context.Context, zoneName string, ms []fusion
 
 // Apply pushes replicated records through the pipeline's lower half:
 // offset-continuity sequencing, WAL journal, engine apply via the
-// replay entry, then the zone's checkpoint cadence. WAL order stays
-// application order, exactly as on the live write path.
+// replay entry, the refresh the batch left due, then the zone's
+// checkpoint cadence. The contiguous run of records is journaled as
+// one group — one write and, under -fsync always, one fsync per pull —
+// and only its durable prefix is replayed, so WAL order stays
+// application order, exactly as on the live write path. An offset gap
+// or a journal error is returned after that prefix is applied.
 func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 	d := zoneDurable(z)
 	eng := z.Engine()
-	offset := func() uint64 {
-		if d != nil {
-			d.j.mu.Lock()
-			defer d.j.mu.Unlock()
-			return d.j.log.Offset()
-		}
-		return eng.Snapshot().Journaled
+	var head uint64
+	if d != nil {
+		d.replMu.Lock()
+		defer d.replMu.Unlock()
+		d.j.mu.Lock()
+		head = d.j.log.Offset()
+		d.j.mu.Unlock()
+	} else {
+		head = eng.Snapshot().Journaled
 	}
-	for _, ra := range recs {
-		if cur := offset(); ra.Off != cur {
-			return fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, cur)
+	var err error
+	run := len(recs)
+	for i, ra := range recs {
+		if want := head + uint64(i); ra.Off != want {
+			err = fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, want)
+			run = i
+			break
 		}
-		if d != nil {
-			d.j.mu.Lock()
-			_, err := d.j.log.Append(ra.Rec)
-			d.j.mu.Unlock()
-			if err != nil {
-				return err
-			}
+	}
+	if d != nil && run > 0 {
+		wrecs := make([]wal.Record, run)
+		for i, ra := range recs[:run] {
+			wrecs[i] = ra.Rec
 		}
+		d.j.mu.Lock()
+		n, jerr := d.j.log.AppendBatch(wrecs)
+		d.j.mu.Unlock()
+		if jerr != nil {
+			run, err = n, jerr
+		}
+	}
+	for _, ra := range recs[:run] {
 		eng.Replay(fusion.Meas{SensorID: ra.Rec.SensorID, CPM: ra.Rec.CPM, Step: ra.Rec.Step, Seq: ra.Rec.Seq})
 	}
-	if d != nil {
-		d.maybeCheckpoint(p.zs.logw)
+	if err != nil {
+		return err
 	}
+	eng.Settle()
+	d.maybeCheckpoint()
 	return nil
 }
 

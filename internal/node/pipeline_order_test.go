@@ -16,6 +16,7 @@ package node
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -26,6 +27,8 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
 	"radloc/internal/node/nodetest"
+	"radloc/internal/obs"
+	"radloc/internal/scenario"
 	"radloc/internal/vfs"
 	"radloc/internal/wal"
 	"radloc/internal/zone"
@@ -204,5 +207,65 @@ func TestWriteErrorOrderingReplication(t *testing.T) {
 	degrade(fsA)
 	if _, code := nodetest.HTTPStatus(a.mux, http.MethodGet, "http://a/cluster/wal/default?from=0&epoch=99", ""); code != http.StatusConflict {
 		t.Fatalf("newer-epoch pull on a degraded primary = HTTP %d, want 409", code)
+	}
+}
+
+// TestReplicationApplyGroupCommit: a standby journals each pulled
+// batch as one group — one fsync per pull under -fsync always, not one
+// per record — and on an offset gap mid-batch it journals and applies
+// exactly the contiguous run before the gap, then reports the gap.
+func TestReplicationApplyGroupCommit(t *testing.T) {
+	reg := obs.NewRegistry()
+	zs, err := newZoneSet(zoneSetOptions{
+		WalRoot: t.TempDir(), Fsync: wal.FsyncAlways,
+		Metrics: reg, Log: io.Discard, Build: testZoneBuild(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zs.close()
+	if err := zs.recoverZones(); err != nil {
+		t.Fatal(err)
+	}
+	mux := newMux(serveConfig{Engine: zs.defaultZone().Engine(), Metrics: reg, Zones: zs})
+	scrape := func(name string) float64 {
+		v, _ := nodetest.ScrapeGauge(t, mux, name+`{zone="default"}`)
+		return v
+	}
+	sensors := scenario.A(50, false).Sensors
+	pull := func(from uint64, n int) []cluster.RecordAt {
+		out := make([]cluster.RecordAt, n)
+		for i := range out {
+			off := from + uint64(i)
+			id := sensors[int(off)%len(sensors)].ID
+			out[i] = cluster.RecordAt{Off: off, Rec: wal.Record{SensorID: id, CPM: 20, Seq: off/uint64(len(sensors)) + 1}}
+		}
+		return out
+	}
+	z := zs.defaultZone()
+	fsyncs0 := scrape("radloc_wal_fsyncs_total")
+	n := len(sensors)
+	if err := zs.pipe.Apply(z, pull(0, n)); err != nil {
+		t.Fatal(err)
+	}
+	if got := scrape("radloc_wal_appends_total"); got != float64(n) {
+		t.Fatalf("appends after one pull = %v, want %d", got, n)
+	}
+	if got := scrape("radloc_wal_fsyncs_total") - fsyncs0; got != 1 {
+		t.Fatalf("fsyncs for one pulled batch of %d = %v, want 1", n, got)
+	}
+
+	// A gap after four contiguous records: those four land, the rest
+	// does not, and the gap is the answer.
+	gapped := append(pull(uint64(n), 4), pull(uint64(n+9), 3)...)
+	err = zs.pipe.Apply(z, gapped)
+	if err == nil || !strings.Contains(err.Error(), "offset gap") {
+		t.Fatalf("gapped pull error = %v, want an offset-gap refusal", err)
+	}
+	if got := z.Engine().Snapshot().Journaled; got != uint64(n+4) {
+		t.Fatalf("journaled after gapped pull = %d, want %d", got, n+4)
+	}
+	if got := scrape("radloc_wal_fsyncs_total") - fsyncs0; got != 2 {
+		t.Fatalf("fsyncs after the gapped pull = %v, want 2", got)
 	}
 }

@@ -49,7 +49,7 @@ func TestCorruptTailRecovery(t *testing.T) {
 			if _, err := engine.IngestSeq(fusion.Meas{SensorID: sen.ID, CPM: m.CPM, Step: step, Seq: uint64(step + 1)}); err != nil {
 				t.Fatal(err)
 			}
-			d.maybeCheckpoint(io.Discard)
+			d.maybeCheckpoint()
 		}
 	}
 	// Rounds past the watermark are journaled; the held tail is not

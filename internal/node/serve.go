@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -304,7 +303,7 @@ func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, repor
 // over a single engine — the one-zone test configuration — wiring the
 // daemon's checkpoint cadence into it. d may be nil.
 func newIngest(engine *fusion.Engine, d *durable, opts httpingest.Options) *httpingest.Handler {
-	opts.AfterBatch = func() { d.maybeCheckpoint(os.Stderr) }
+	opts.AfterBatch = d.maybeCheckpoint
 	return httpingest.New(engine, opts)
 }
 

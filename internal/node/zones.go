@@ -152,7 +152,7 @@ func (zs *zoneSet) factory(name string) (zone.Resources, error) {
 	}
 	return zone.Resources{
 		Engine:     engine,
-		AfterBatch: func() { d.maybeCheckpoint(zs.logw) },
+		AfterBatch: d.maybeCheckpoint,
 		Close:      d.close,
 		Aux:        d,
 	}, nil

@@ -41,7 +41,7 @@ func newWALMetrics(r *obs.Registry) *walMetrics {
 		droppedSegments: r.Counter("radloc_wal_recovery_dropped_segments_total",
 			"Whole segment files discarded by recovery on Open."),
 		appendSeconds: r.Histogram("radloc_wal_append_seconds",
-			"Wall-clock seconds per Append, including any per-record fsync.", nil),
+			"Wall-clock seconds per append call (one record or one group), including its fsyncs.", nil),
 		fsyncSeconds: r.Histogram("radloc_wal_fsync_seconds",
 			"Wall-clock seconds per flush+fsync of the active segment.", nil),
 		replaySeconds: r.Histogram("radloc_wal_replay_seconds",
@@ -71,12 +71,13 @@ func (m *walMetrics) observe(h *obs.Histogram, t0 time.Time) {
 	h.Observe(time.Since(t0).Seconds())
 }
 
-// appended accounts one successful append at offset off+1.
-func (m *walMetrics) appended(t0 time.Time, next uint64) {
+// appended accounts one successful append call of n records, after
+// which the next record gets offset next.
+func (m *walMetrics) appended(t0 time.Time, n int, next uint64) {
 	if m == nil {
 		return
 	}
-	m.appends.Inc()
+	m.appends.Add(uint64(n))
 	m.offset.Set(float64(next))
 	m.observe(m.appendSeconds, t0)
 }

@@ -144,6 +144,7 @@ type Log struct {
 	next     uint64      // offset the next appended record will get
 	retain   uint64      // Prune floor: records ≥ retain survive (replication)
 	f        vfs.File    // active tail segment, opened for append
+	buf      []byte      // reused encoding buffer for one append chunk
 	dirty    bool        // unsynced appends outstanding
 	wedged   bool        // a failed append left bytes we could not truncate away
 	met      *walMetrics // nil when uninstrumented
@@ -402,11 +403,28 @@ func (l *Log) Segments() int { return len(l.segments) }
 func (l *Log) SetRetain(off uint64) { l.retain = off }
 
 // Append journals one record, making it durable per the fsync policy,
-// and returns its offset. Append is transactional: on error the log
-// holds exactly the records it held before — any partial bytes are
-// truncated back out (or, if even that fails, the log wedges and
-// every Append fails until Probe repairs it).
+// and returns its offset. It is AppendBatch with a batch of one.
 func (l *Log) Append(rec Record) (uint64, error) {
+	off := l.next
+	if _, err := l.AppendBatch([]Record{rec}); err != nil {
+		return 0, err
+	}
+	return off, nil
+}
+
+// AppendBatch journals recs in order, making them durable per the
+// fsync policy, and returns how many are now in the log. The records
+// that fit in the tail segment go out in one Write and, under
+// FsyncAlways, one fsync; a batch that crosses a rotation writes one
+// such chunk per segment, so the segment files are byte-identical to
+// the same records appended one at a time.
+//
+// AppendBatch is transactional per chunk: on error the first n records
+// (whole earlier chunks) are in the log and the rest are absent — any
+// partial bytes of the failed chunk are truncated back out (or, if
+// even that fails, the log wedges and every append fails until Probe
+// repairs it).
+func (l *Log) AppendBatch(recs []Record) (int, error) {
 	if l.f == nil {
 		return 0, errors.New("wal: log closed")
 	}
@@ -416,50 +434,82 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		}
 	}
 	t0 := l.met.now()
-	tail := &l.segments[len(l.segments)-1]
-	if tail.count >= uint64(l.opts.SegmentRecords) {
-		if err := l.rotate(); err != nil {
-			return 0, err
+	n := 0
+	var err error
+	for n < len(recs) && err == nil {
+		tail := &l.segments[len(l.segments)-1]
+		if tail.count >= uint64(l.opts.SegmentRecords) {
+			if err = l.rotate(); err != nil {
+				break
+			}
+			tail = &l.segments[len(l.segments)-1]
 		}
-		tail = &l.segments[len(l.segments)-1]
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	env := envelope{CRC: crc32.Checksum(raw, crcTable), Rec: raw}
-	line, err := json.Marshal(env)
-	if err != nil {
-		return 0, err
-	}
-	line = append(line, '\n')
-	if n, err := l.f.Write(line); err != nil {
-		if n > 0 {
-			// Torn write: cut the partial line back out so the file
-			// ends at the last whole record.
-			if rerr := l.repairTail(); rerr != nil {
-				return 0, fmt.Errorf("wal: torn append (%w); tail repair failed: %v", err, rerr)
+		chunk := recs[n:]
+		if room := uint64(l.opts.SegmentRecords) - tail.count; uint64(len(chunk)) > room {
+			chunk = chunk[:room]
+		}
+		buf := l.buf[:0]
+		for _, rec := range chunk {
+			if buf, err = appendLine(buf, rec); err != nil {
+				break
 			}
 		}
-		return 0, err
+		l.buf = buf
+		if err == nil {
+			err = l.writeChunk(buf)
+		}
+		if err == nil {
+			n += len(chunk)
+			l.next += uint64(len(chunk))
+			tail.count += uint64(len(chunk))
+			tail.bytes += int64(len(buf))
+		}
+	}
+	if n > 0 {
+		l.met.appended(t0, n, l.next)
+	}
+	return n, err
+}
+
+// appendLine appends rec's NDJSON envelope line to dst.
+func appendLine(dst []byte, rec Record) ([]byte, error) {
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		return dst, err
+	}
+	line, err := json.Marshal(envelope{CRC: crc32.Checksum(raw, crcTable), Rec: raw})
+	if err != nil {
+		return dst, err
+	}
+	return append(append(dst, line...), '\n'), nil
+}
+
+// writeChunk writes whole encoded lines to the tail and, under
+// FsyncAlways, fsyncs them. On error the tail is repaired back to its
+// last accounted byte, so the chunk is either durable or absent.
+func (l *Log) writeChunk(buf []byte) error {
+	if n, err := l.f.Write(buf); err != nil {
+		if n > 0 {
+			// Torn write: cut the partial lines back out so the file
+			// ends at the last whole record.
+			if rerr := l.repairTail(); rerr != nil {
+				return fmt.Errorf("wal: torn append (%w); tail repair failed: %v", err, rerr)
+			}
+		}
+		return err
 	}
 	l.dirty = true
 	if l.opts.Fsync == FsyncAlways {
 		if err := l.syncTail(); err != nil {
-			// The line is written but not durable; remove it so the
-			// error genuinely vetoes the record.
+			// The lines are written but not durable; remove them so the
+			// error genuinely vetoes the records.
 			if rerr := l.repairTail(); rerr != nil {
-				return 0, fmt.Errorf("wal: append sync failed (%w); tail repair failed: %v", err, rerr)
+				return fmt.Errorf("wal: append sync failed (%w); tail repair failed: %v", err, rerr)
 			}
-			return 0, err
+			return err
 		}
 	}
-	off := l.next
-	l.next++
-	tail.count++
-	tail.bytes += int64(len(line))
-	l.met.appended(t0, l.next)
-	return off, nil
+	return nil
 }
 
 // repairTail truncates the tail file back to its last accounted byte,
@@ -538,14 +588,21 @@ func (l *Log) syncTail() error {
 
 // rotate seals the active segment and starts a new one at the current
 // offset. Ordered so that any failure leaves the log consistent: the
-// new segment is created and the directory synced before the old tail
-// is released.
+// old tail is synced, and the new segment is created and the directory
+// synced before the old tail is released. Under FsyncAlways a clean
+// tail needs no sync — every chunk was synced as it was written — so a
+// group crossing a rotation costs one fsync per segment chunk.
 func (l *Log) rotate() error {
-	if err := l.syncTail(); err != nil {
-		return err
+	if l.dirty || l.opts.Fsync != FsyncAlways {
+		if err := l.syncTail(); err != nil {
+			return err
+		}
 	}
 	seg := segment{start: l.next, path: segmentPath(l.dir, l.next)}
-	f, err := l.fs.OpenFile(seg.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	// O_APPEND, as for every tail: after repairTail truncates a failed
+	// append back out, the next write must land at the new end, not at
+	// the old file position past a hole.
+	f, err := l.fs.OpenFile(seg.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}

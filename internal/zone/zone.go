@@ -40,7 +40,8 @@ type Resources struct {
 	// Engine is the zone's fusion engine. Required.
 	Engine *fusion.Engine
 	// AfterBatch, when non-nil, runs on the zone's event loop after
-	// each applied batch — the owner's checkpoint-cadence hook.
+	// each applied batch has been acknowledged and its due refresh
+	// settled — the owner's checkpoint-cadence hook.
 	AfterBatch func()
 	// Close, when non-nil, runs exactly once on the event loop as the
 	// zone shuts down, after the reorder gate's tail has been flushed —
@@ -119,15 +120,20 @@ func (z *Zone) IdleFor(now time.Time) time.Duration {
 
 // loop is the zone's single writer: it applies mailbox batches in
 // arrival order until the mailbox closes, then flushes the reorder
-// gate's tail and runs the owner's Close hook.
+// gate's tail and runs the owner's Close hook. Per batch the order is
+// apply → ack → refresh → AfterBatch: the ack leaves as soon as the
+// batch is journaled and applied, and the round's estimate refresh
+// (Engine.Settle) and the checkpoint cadence run after it, since
+// neither changes what the ack reports.
 func (z *Zone) loop() {
 	defer close(z.done)
 	for env := range z.mail {
 		res, err := z.res.Engine.Submit(env.ctx, env.ms)
+		env.reply <- outcome{res: res, err: err}
+		z.res.Engine.Settle()
 		if z.res.AfterBatch != nil {
 			z.res.AfterBatch()
 		}
-		env.reply <- outcome{res: res, err: err}
 	}
 	// Shutdown: no further watermark advance will come, so release
 	// every held round before the owner takes its final checkpoint.
